@@ -81,6 +81,11 @@ func main() {
 		schedPolicy  = flag.String("sched-policy", "", "scheduler policy: "+strings.Join(schedpolicy.Names(), "|")+" (with optional :params; empty = stock dispatch)")
 	)
 	flag.Parse()
+	if err := checkExploreBounds(*exploreRuns, *exploreDepth); err != nil {
+		// Exit status 2, as the flag package uses for a malformed flag.
+		fmt.Fprintln(os.Stderr, "ulpsim:", err)
+		os.Exit(2)
+	}
 	if *probeList {
 		fmt.Print(probe.ListStock())
 		return
@@ -112,6 +117,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ulpsim:", err)
 		os.Exit(1)
 	}
+}
+
+// checkExploreBounds rejects negative explorer budgets. Zero stays
+// valid for both: the explorer reads it as an unbounded dfs run budget
+// (one random walk) and as its minimum depth.
+func checkExploreBounds(runs, depth int) error {
+	if runs < 0 {
+		return fmt.Errorf("-explore-runs must be >= 0, got %d", runs)
+	}
+	if depth < 0 {
+		return fmt.Errorf("-explore-depth must be >= 0, got %d", depth)
+	}
+	return nil
 }
 
 // writeTrace renders the tracer to path in the selected format and

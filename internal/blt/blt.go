@@ -198,7 +198,9 @@ func (b *BLT) Decouple() {
 		b.bracket = 0
 	}
 	fr := p.opEnter(carrier, b, "decouple", probe.PDecouple)
-	b.pool.trace("decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
+	if b.pool.tracing() {
+		b.pool.trace("decouple: enqueue(%s, sched%d)", b.name, b.home.index) // Table I Seq.6
+	}
 	// Table I Seq.6: enqueue(UC0, KC1) — hand the UC to the scheduler.
 	// The scheduler may observe the queue entry before the UC context
 	// is saved; the second synchronization point (Seq.8/9) makes it
@@ -206,7 +208,9 @@ func (b *BLT) Decouple() {
 	// swap below completes.
 	b.home.enqueue(b, b.uc.Carrier())
 	// Table I Seq.7: swap_ctx(UC0, TC0).
-	b.pool.trace("decouple: swap_ctx(%s, TC)", b.name)
+	if b.pool.tracing() {
+		b.pool.trace("decouple: swap_ctx(%s, TC)", b.name)
+	}
 	b.uc.Yield(tagDecouple)
 	// Resumed here by a scheduler KC: the BLT is now a ULT.
 	p.opExit(b.uc.Carrier(), b, fr)
@@ -243,11 +247,15 @@ func (b *BLT) Couple() error {
 	fr := p.opEnter(carrier, b, "couple", probe.PCouple)
 	// Table I Seq.1: enqueue(UC0, KC0) — ask the original KC to run us.
 	// Seq.2: unblock(KC0).
-	b.pool.trace("couple: enqueue(%s, KC) + unblock(KC)", b.name)
+	if b.pool.tracing() {
+		b.pool.trace("couple: enqueue(%s, KC) + unblock(KC)", b.name)
+	}
 	b.host.enqueueCoupled(b, carrier)
 	// Seq.3: swap_ctx(UC0, UCi) — yield to the scheduler, which marks
 	// the context saved (sync point 1) and runs another UC.
-	b.pool.trace("couple: swap_ctx(%s, next-UC)", b.name)
+	if b.pool.tracing() {
+		b.pool.trace("couple: swap_ctx(%s, next-UC)", b.name)
+	}
 	b.uc.Yield(tagCoupling)
 	// Resumed here either by the original KC (Seq.4: swap_ctx(TC0, UC0))
 	// or — if the KC died with our request still queued — by the home

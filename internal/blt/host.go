@@ -96,7 +96,9 @@ func (h *KCHost) enqueueCoupled(b *BLT, carrier *kernel.Task) {
 	if h.dead {
 		b.coupled = false
 		b.coupleErr = ErrHostDead
-		h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		if h.pool.tracing() {
+			h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		}
 		b.home.enqueue(b, carrier)
 		return
 	}
@@ -191,7 +193,9 @@ func (h *KCHost) tcBody(c *uctx.Context) {
 		for !b.ucSaved {
 			c.Carrier().Charge(costs.AtomicOp)
 		}
-		h.pool.trace("kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
+		if h.pool.tracing() {
+			h.pool.trace("kc: dequeue(%s)", b.name) // Table I Seq.3 (KC side)
+		}
 		c.Yield(b)
 	}
 }
@@ -219,7 +223,9 @@ func (h *KCHost) main(t *kernel.Task) int {
 		}
 		b := ev.Tag.(*BLT)
 		// Table I Seq.4: swap_ctx(TC0, UC0).
-		h.pool.trace("kc: swap_ctx(TC, %s)", b.name)
+		if h.pool.tracing() {
+			h.pool.trace("kc: swap_ctx(TC, %s)", b.name)
+		}
 		t.Charge(costs.UserCtxSwap)
 		h.runCoupled(t, b)
 	}
@@ -237,7 +243,9 @@ func (h *KCHost) die(t *kernel.Task) {
 		b := h.dequeue(t)
 		b.coupled = false
 		b.coupleErr = ErrHostDead
-		h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		if h.pool.tracing() {
+			h.pool.trace("kc: dead; bounce %s to sched%d", b.name, b.home.index)
+		}
 		b.home.enqueue(b, t)
 	}
 }
@@ -271,8 +279,10 @@ func (h *KCHost) runCoupled(t *kernel.Task, b *BLT) {
 			// Sync point 2 (Table I Seq.8/9): the UC context is now
 			// saved; the scheduler may load it.
 			b.ucSaved = true
-			h.pool.trace("kc: %s saved; blocking on TC", b.name) // Seq.8
-			return                                               // back to the trampoline
+			if h.pool.tracing() {
+				h.pool.trace("kc: %s saved; blocking on TC", b.name) // Seq.8
+			}
+			return // back to the trampoline
 		case tagCoupling:
 			panic(fmt.Sprintf("blt: %s coupled while already on its original KC", b))
 		case tagYield:

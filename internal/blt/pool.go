@@ -69,6 +69,11 @@ type Config struct {
 	Policy ULTPolicy
 }
 
+// tracing reports whether anything watches the trace:log point. Every
+// p.trace call site gates on it, as the kernel's do, so an untraced run
+// never boxes the call's variadic arguments.
+func (p *Pool) tracing() bool { return p.kern.Probes().Attached(probe.PTraceLog) }
+
 // trace emits a BLT-protocol event through the trace:log probe point —
 // used to validate the Table I sequence in tests and to debug schedules
 // via ulpsim -trace.

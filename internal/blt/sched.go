@@ -184,7 +184,9 @@ func (s *Scheduler) die(t *kernel.Task) {
 	live := s.pool.nextLiveSched(s.index)
 	s.pool.emit(t, "fault", "sched_kill: sched%d dies, re-homing %d UCs to sched%d",
 		s.index, s.q.Len(), live.index)
-	s.pool.trace("sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+	if s.pool.tracing() {
+		s.pool.trace("sched%d: killed; re-homing %d UCs to sched%d", s.index, s.q.Len(), live.index)
+	}
 	for s.q.Len() > 0 {
 		b := s.dequeue(t)
 		if b == nil {
@@ -295,7 +297,9 @@ func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
 		c.Name = b.name
 		ps.Fire(c)
 	}
-	s.pool.trace("sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
+	if s.pool.tracing() {
+		s.pool.trace("sched%d: swap_ctx(.., %s)", s.index, b.name) // Seq.9 after decouple
+	}
 	s.running = b
 	ev := b.uc.Step(t)
 	s.running = nil
@@ -306,7 +310,9 @@ func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
 			// Its exit status stays visible via ExitStatus/Orphaned.
 			b.done = true
 			b.host.residents--
-			s.pool.trace("sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
+			if s.pool.tracing() {
+				s.pool.trace("sched%d: reap orphan %s (status=%d)", s.index, b.name, b.exitStatus)
+			}
 			return
 		}
 		panic(fmt.Sprintf("blt: %s exited while decoupled; BLTs must terminate as KLTs", b))
@@ -328,7 +334,9 @@ func (s *Scheduler) runUC(t *kernel.Task, b *BLT, swapCost sim.Duration) {
 		// the paper's "two times of loading TLS register" per
 		// couple/decouple cycle.
 		b.ucSaved = true
-		s.pool.trace("sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
+		if s.pool.tracing() {
+			s.pool.trace("sched%d: %s saved (sync point 1)", s.index, b.name) // Seq.3
+		}
 		t.Charge(costs.UserCtxSwap)
 		s.loadTLS(t, s.slot.word) // the scheduler thread's own descriptor
 		if s.pool.cfg.SwitchSigmask {

@@ -95,15 +95,17 @@ func (fs *FileSystem) Open(path string, flags OpenFlags) (*File, error) {
 	}
 	ino.openers++
 	fs.opens++
-	f := &File{fs: fs, inode: ino, flags: flags}
-	if flags&OAppend != 0 {
-		f.pos = len(ino.data)
-	}
-	return f, nil
+	return &File{fs: fs, inode: ino, flags: flags}, nil
 }
 
-// Write appends/overwrites at the file position and returns the byte
-// count.
+// Write overwrites/extends at the file position and returns the byte
+// count. With OAppend every write first moves the position to the
+// current EOF, as POSIX requires.
+//
+// The inode keeps its capacity across O_TRUNC and grows geometrically,
+// so rewriting or appending to a file copies only the written bytes.
+// Only the gap between the old EOF and the position (a seek past EOF)
+// is zeroed: bytes beyond the length are stale after a truncate.
 func (f *File) Write(data []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -111,13 +113,24 @@ func (f *File) Write(data []byte) (int, error) {
 	if !f.flags.writable() {
 		return 0, ErrReadOnly
 	}
-	end := f.pos + len(data)
-	if end > len(f.inode.data) {
-		grown := make([]byte, end)
-		copy(grown, f.inode.data)
-		f.inode.data = grown
+	ino := f.inode
+	if f.flags&OAppend != 0 {
+		f.pos = len(ino.data)
 	}
-	copy(f.inode.data[f.pos:end], data)
+	end := f.pos + len(data)
+	if n := len(ino.data); end > n {
+		if end > cap(ino.data) {
+			grown := make([]byte, end, max(end, 2*cap(ino.data)))
+			copy(grown, ino.data)
+			ino.data = grown
+		} else {
+			ino.data = ino.data[:end]
+			if f.pos > n {
+				clear(ino.data[n:f.pos])
+			}
+		}
+	}
+	copy(ino.data[f.pos:end], data)
 	f.pos = end
 	f.fs.writes++
 	f.fs.bytesWritten += uint64(len(data))

@@ -3,6 +3,8 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +77,136 @@ func TestAppendMode(t *testing.T) {
 	n, _ := r.Read(buf)
 	if string(buf[:n]) != "abcdef" {
 		t.Errorf("appended content = %q", buf[:n])
+	}
+}
+
+// TestAppendAlwaysWritesAtEOF: O_APPEND moves the position to the
+// current EOF before every write, so two append descriptors on one file
+// interleave instead of overwriting each other.
+func TestAppendAlwaysWritesAtEOF(t *testing.T) {
+	f := New()
+	a, _ := f.Open("/log", OWrOnly|OCreate|OAppend)
+	b, _ := f.Open("/log", OWrOnly|OAppend)
+	for _, w := range []struct {
+		f    *File
+		data string
+	}{{a, "a1 "}, {b, "b1 "}, {a, "a2 "}, {b, "b2"}} {
+		w.f.Write([]byte(w.data))
+	}
+	r, _ := f.Open("/log", ORdOnly)
+	buf := make([]byte, 32)
+	n, _ := r.Read(buf)
+	if got, want := string(buf[:n]), "a1 b1 a2 b2"; got != want {
+		t.Errorf("alternating appends = %q, want %q", got, want)
+	}
+}
+
+// TestWriteLayouts checks the bytes a sequence of opens, seeks and writes
+// leaves behind, including the cases where the inode's retained capacity
+// still holds bytes from before a truncate: none may show through.
+func TestWriteLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(f *FileSystem) error
+		want string
+	}{
+		{"trunc then shorter write", func(f *FileSystem) error {
+			w, _ := f.Open("/a", OWrOnly|OCreate)
+			w.Write([]byte("0123456789"))
+			w.Close()
+			w, _ = f.Open("/a", OWrOnly|OTrunc)
+			_, err := w.Write([]byte("ab"))
+			return err
+		}, "ab"},
+		{"seek past EOF of fresh file", func(f *FileSystem) error {
+			w, _ := f.Open("/a", OWrOnly|OCreate)
+			w.Write([]byte("ab"))
+			w.Seek(5)
+			_, err := w.Write([]byte("Z"))
+			return err
+		}, "ab\x00\x00\x00Z"},
+		{"seek past EOF after trunc", func(f *FileSystem) error {
+			w, _ := f.Open("/a", OWrOnly|OCreate)
+			w.Write([]byte("0123456789"))
+			w.Close()
+			w, _ = f.Open("/a", OWrOnly|OTrunc)
+			w.Write([]byte("ab"))
+			w.Seek(6)
+			_, err := w.Write([]byte("Z"))
+			return err
+		}, "ab\x00\x00\x00\x00Z"},
+		{"seek past EOF beyond capacity", func(f *FileSystem) error {
+			w, _ := f.Open("/a", OWrOnly|OCreate)
+			w.Write([]byte("ab"))
+			w.Seek(40)
+			_, err := w.Write([]byte("Z"))
+			return err
+		}, "ab" + string(make([]byte, 38)) + "Z"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New()
+			if err := tc.run(f); err != nil {
+				t.Fatal(err)
+			}
+			r, _ := f.Open("/a", ORdOnly)
+			buf := make([]byte, 64)
+			n, _ := r.Read(buf)
+			if got := string(buf[:n]); got != tc.want {
+				t.Errorf("content = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRewriteAfterTruncAllocsNothing pins capacity reuse: O_TRUNC keeps
+// the inode's buffer, so rewriting the file at the same size allocates
+// nothing beyond the open file description itself.
+func TestRewriteAfterTruncAllocsNothing(t *testing.T) {
+	f := New()
+	buf := make([]byte, 4096)
+	w, _ := f.Open("/a", OWrOnly|OCreate)
+	w.Write(buf)
+	w.Close()
+	open := testing.AllocsPerRun(100, func() {
+		w, _ := f.Open("/a", OWrOnly|OTrunc)
+		w.Close()
+	})
+	rewrite := testing.AllocsPerRun(100, func() {
+		w, _ := f.Open("/a", OWrOnly|OTrunc)
+		w.Write(buf)
+		w.Close()
+	})
+	if rewrite != open {
+		t.Errorf("rewrite after O_TRUNC allocates %v times beyond the open", rewrite-open)
+	}
+}
+
+// TestAppendGrowthAllocs pins the geometric growth policy: building a
+// 64 KiB file from 16 x 4 KiB appends reallocates O(log n) times and
+// allocates at most ~2 bytes per written byte.
+func TestAppendGrowthAllocs(t *testing.T) {
+	const chunks, size = 16, 4096
+	f := New()
+	buf := make([]byte, size)
+	build := func() {
+		w, _ := f.Open("/a", OWrOnly|OCreate)
+		for i := 0; i < chunks; i++ {
+			w.Write(buf)
+		}
+		w.Close()
+		f.Unlink("/a")
+	}
+	// Beyond the writes' own growth, a build allocates the inode and the
+	// open file description.
+	if got, limit := testing.AllocsPerRun(20, build), float64(bits.Len(chunks)+2); got > limit {
+		t.Errorf("64 KiB append build allocates %v times, want <= %v", got, limit)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	build()
+	runtime.ReadMemStats(&ms1)
+	if ratio := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (chunks * size); ratio > 2.1 {
+		t.Errorf("64 KiB append build allocates %.2f B per written byte, want <= 2.1", ratio)
 	}
 }
 

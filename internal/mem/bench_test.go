@@ -40,3 +40,20 @@ func BenchmarkWrite4K(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkU64 measures the aligned lock-word load/store pair the futex
+// and lock paths issue on every operation.
+func BenchmarkU64(b *testing.B) {
+	as := NewAddressSpace(NewPhysMemory(0), Costs{})
+	addr, _ := as.Mmap(PageSize, ProtRead|ProtWrite, "b", true, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := as.ReadU64(addr+64, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := as.WriteU64(addr+64, v+1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,6 +27,22 @@ func TestForkCoWIsolation(t *testing.T) {
 	if string(buf) != "child-data!" {
 		t.Errorf("child sees parent write: %q", buf)
 	}
+	// The break copies every materialised sector, not just the written
+	// one, and the copies stay independent afterwards.
+	far := addr + PageSize - 8
+	parent.Write(far, []byte("parent!!"), nil)
+	child2 := parent.ForkCoW(nil)
+	child2.Write(addr, []byte("x"), nil)
+	parent.Write(far, []byte("changed!"), nil)
+	tail := make([]byte, 8)
+	child2.Read(far, tail, nil)
+	if string(tail) != "parent!!" {
+		t.Errorf("child's unwritten sector after COW break = %q, want %q", tail, "parent!!")
+	}
+	child2.Read(addr, buf, nil)
+	if string(buf) != "xarent-two!" {
+		t.Errorf("child's written sector after COW break = %q", buf)
+	}
 }
 
 func TestForkCoWSharesUntilWrite(t *testing.T) {

@@ -1,20 +1,69 @@
 package mem
 
-// Frame is one physical page frame. Content is allocated lazily on first
-// write so that large sparse mappings stay cheap to simulate.
+// Frame content is materialised in sectors of sectorSize bytes, each
+// allocated on its first write: a first-touch store or a COW break costs
+// the host the bytes it writes, not a whole page.
+const (
+	sectorShift = 8
+	sectorSize  = 1 << sectorShift
+)
+
+type sector [sectorSize]byte
+
+// Frame is one physical page frame. Unwritten sectors read as zero
+// (physical pages are handed out zeroed, as on Linux) and allocate
+// nothing, so large sparse mappings stay cheap to simulate.
 type Frame struct {
-	ID   uint64
-	refs int
-	data []byte
+	ID      uint64
+	refs    int
+	sectors [PageSize / sectorSize]*sector
 }
 
-// Data returns the frame's backing bytes, allocating them zeroed on first
-// use (physical pages are handed out zeroed, as on Linux).
-func (f *Frame) Data() []byte {
-	if f.data == nil {
-		f.data = make([]byte, PageSize)
+// write copies data into the frame from byte offset off, stopping at the
+// page end, and returns the number of bytes copied.
+func (f *Frame) write(off int, data []byte) int {
+	n := 0
+	for n < len(data) && off < PageSize {
+		s := f.sectors[off>>sectorShift]
+		if s == nil {
+			s = new(sector)
+			f.sectors[off>>sectorShift] = s
+		}
+		c := copy(s[off&(sectorSize-1):], data[n:])
+		n += c
+		off += c
 	}
-	return f.data
+	return n
+}
+
+// read fills buf from byte offset off, stopping at the page end, and
+// returns the number of bytes copied.
+func (f *Frame) read(off int, buf []byte) int {
+	n := 0
+	for n < len(buf) && off < PageSize {
+		i := off & (sectorSize - 1)
+		var c int
+		if s := f.sectors[off>>sectorShift]; s != nil {
+			c = copy(buf[n:], s[i:])
+		} else {
+			c = min(len(buf)-n, sectorSize-i)
+			clear(buf[n : n+c])
+		}
+		n += c
+		off += c
+	}
+	return n
+}
+
+// copyFrom gives the (fresh, all-zero) frame a private copy of src's
+// materialised sectors.
+func (f *Frame) copyFrom(src *Frame) {
+	for i, s := range src.sectors {
+		if s != nil {
+			cp := *s
+			f.sectors[i] = &cp
+		}
+	}
 }
 
 // Refs reports the number of page-table mappings referencing this frame.
@@ -49,7 +98,7 @@ func (pm *PhysMemory) Alloc() (*Frame, error) {
 		f := pm.free[n-1]
 		pm.free[n-1] = nil
 		pm.free = pm.free[:n-1]
-		f.data = nil // recycled frames are handed out zeroed
+		clear(f.sectors[:]) // recycled frames are handed out zeroed
 		pm.allocated++
 		pm.allocs++
 		return f, nil

@@ -286,9 +286,7 @@ func (as *AddressSpace) Write(va uint64, data []byte, c Charger) error {
 		if err != nil {
 			return err
 		}
-		pageOff := cur & (PageSize - 1)
-		n := copy(pte.Frame.Data()[pageOff:], data[off:])
-		off += n
+		off += pte.Frame.write(int(cur&(PageSize-1)), data[off:])
 	}
 	as.stats.BytesWritten += uint64(len(data))
 	charge(c, sim.Duration(as.costs.CopyBytePS*float64(len(data))))
@@ -304,9 +302,7 @@ func (as *AddressSpace) Read(va uint64, buf []byte, c Charger) error {
 		if err != nil {
 			return err
 		}
-		pageOff := cur & (PageSize - 1)
-		n := copy(buf[off:], pte.Frame.Data()[pageOff:])
-		off += n
+		off += pte.Frame.read(int(cur&(PageSize-1)), buf[off:])
 	}
 	as.stats.BytesRead += uint64(len(buf))
 	charge(c, sim.Duration(as.costs.CopyBytePS*float64(len(buf))))
@@ -373,7 +369,7 @@ func (as *AddressSpace) breakCoW(pte *PTE, c Charger) error {
 		return err
 	}
 	as.phys.Get(fresh)
-	copy(fresh.Data(), pte.Frame.Data())
+	fresh.copyFrom(pte.Frame)
 	as.phys.Put(pte.Frame)
 	pte.Frame = fresh
 	pte.COW = false

@@ -65,6 +65,97 @@ func TestWriteAcrossPageBoundary(t *testing.T) {
 	}
 }
 
+// TestWriteReadStraddles round-trips writes that start inside one sector
+// or page and end in another, and checks that the bytes around each
+// write still read as zero.
+func TestWriteReadStraddles(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		off, n uint64
+	}{
+		{"within one sector", 10, 100},
+		{"sector boundary", sectorSize - 5, 10},
+		{"many sectors", 7, 3 * sectorSize},
+		{"page boundary at a sector edge", PageSize - sectorSize, 2 * sectorSize},
+		{"whole page, unaligned", 1, PageSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := newSpace()
+			addr, _ := as.Mmap(3*PageSize, ProtRead|ProtWrite, "t", false, nil)
+			data := make([]byte, tc.n)
+			for i := range data {
+				data[i] = byte(i) | 1
+			}
+			if err := as.Write(addr+tc.off, data, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, 3*PageSize)
+			copy(want[tc.off:], data)
+			got := bytes.Repeat([]byte{0xaa}, 3*PageSize) // reads must overwrite every byte
+			if err := as.Read(addr, got, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("round trip corrupted data or its zero surroundings")
+			}
+		})
+	}
+}
+
+// TestWriteReadMatchesReference: any sequence of writes into a mapping
+// reads back exactly like the same writes applied to a flat byte slice.
+func TestWriteReadMatchesReference(t *testing.T) {
+	const size = 2 * PageSize
+	f := func(writes []struct {
+		Off  uint16
+		Data []byte
+	}) bool {
+		as := newSpace()
+		addr, _ := as.Mmap(size, ProtRead|ProtWrite, "t", false, nil)
+		ref := make([]byte, size)
+		for _, w := range writes {
+			off := int(w.Off) % size
+			data := w.Data[:min(len(w.Data), size-off)]
+			if as.Write(addr+uint64(off), data, nil) != nil {
+				return false
+			}
+			copy(ref[off:], data)
+		}
+		got := bytes.Repeat([]byte{0xaa}, size)
+		return as.Read(addr, got, nil) == nil && bytes.Equal(got, ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUntouchedPageReadAllocsNothing: unwritten sectors read as zero
+// without materialising any frame content, and a first-touch write
+// materialises only the sector it lands in.
+func TestUntouchedPageReadAllocsNothing(t *testing.T) {
+	as := newSpace()
+	addr, _ := as.Mmap(PageSize, ProtRead|ProtWrite, "t", true, nil)
+	buf := make([]byte, PageSize)
+	if got := testing.AllocsPerRun(100, func() {
+		if err := as.Read(addr, buf, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("reading an untouched page allocates %v times, want 0", got)
+	}
+	frame := as.PageTable().Lookup(addr).Frame
+	as.Write(addr+PageSize/2, []byte{1}, nil)
+	n := 0
+	for _, s := range frame.sectors {
+		if s != nil {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("1-byte first touch materialised %d sectors, want 1", n)
+	}
+}
+
 func TestSegfaultOnUnmapped(t *testing.T) {
 	as := newSpace()
 	err := as.Write(0xdead000, []byte{1}, nil)
@@ -272,15 +363,15 @@ func TestFrameRecyclingZeroes(t *testing.T) {
 	phys := NewPhysMemory(1)
 	as := NewAddressSpace(phys, testCosts())
 	addr, _ := as.Mmap(PageSize, ProtRead|ProtWrite, "a", false, nil)
-	as.Write(addr, []byte{0xff}, nil)
+	as.Write(addr, bytes.Repeat([]byte{0xff}, PageSize), nil)
 	as.Munmap(addr, PageSize)
 	addr2, err := as.Mmap(PageSize, ProtRead|ProtWrite, "b", false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 1)
+	buf := make([]byte, PageSize)
 	as.Read(addr2, buf, nil)
-	if buf[0] != 0 {
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
 		t.Error("recycled frame was not zeroed")
 	}
 }
