@@ -72,6 +72,11 @@ func main() {
 	probeStr := flag.String("probe", "", "with -scale: attach stock probes to every row's kernel (e.g. 'slo:p99_us=500'); a failing SLO check fails the row")
 	schedPolicy := flag.String("sched-policy", "", "scheduler policy for every benchmark kernel: "+strings.Join(schedpolicy.Names(), "|")+" (empty = stock dispatch)")
 	flag.Parse()
+	if err := checkCounts(*runs, *parallel); err != nil {
+		// Exit status 2, as the flag package uses for a malformed flag.
+		fmt.Fprintln(os.Stderr, "ulpbench:", err)
+		os.Exit(2)
+	}
 	bench.Runs = *runs
 	if *probeStr != "" {
 		specs, err := probe.ParseSpecs(*probeStr)
@@ -150,6 +155,18 @@ func main() {
 		}
 		fmt.Println("benchmark records written to", path)
 	}
+}
+
+// checkCounts rejects repetition and sweep widths below one: zero runs
+// would print an all-zero table and exit 0, and a sweep needs a worker.
+func checkCounts(runs, parallel int) error {
+	if runs < 1 {
+		return fmt.Errorf("-runs must be >= 1, got %d", runs)
+	}
+	if parallel < 1 {
+		return fmt.Errorf("-parallel must be >= 1, got %d", parallel)
+	}
+	return nil
 }
 
 // runScale drives the scale suite serially over both machines (the

@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -59,7 +60,7 @@ func main() {
 		idle         = flag.String("idle", "busywait", "KC idle policy: busywait or blocking")
 		signals      = flag.String("signals", "fcontext", "context switch style: fcontext or ucontext")
 		tracePath    = flag.String("trace", "", "write the event trace to this file")
-		traceCap     = flag.Int("trace-cap", 4096, "max retained trace events")
+		traceCap     = flag.Int("trace-cap", 4096, "max retained trace events, 0 = unbounded")
 		traceFormat  = flag.String("trace-format", "text", "trace file format: text or chrome (Perfetto-loadable JSON)")
 		showMetrics  = flag.Bool("metrics", false, "print the deterministic metrics dump after the run")
 		workSteal    = flag.Bool("workstealing", false, "idle schedulers steal ready UCs from peers")
@@ -81,7 +82,21 @@ func main() {
 		schedPolicy  = flag.String("sched-policy", "", "scheduler policy: "+strings.Join(schedpolicy.Names(), "|")+" (with optional :params; empty = stock dispatch)")
 	)
 	flag.Parse()
-	if err := checkExploreBounds(*exploreRuns, *exploreDepth); err != nil {
+	err := checkExploreBounds(*exploreRuns, *exploreDepth)
+	if err == nil {
+		err = checkMins(
+			flagMin{"ulps", float64(*ulps), 0},
+			flagMin{"prog-cores", float64(*progCores), 1},
+			flagMin{"syscall-cores", float64(*syscallCores), 1},
+			flagMin{"ops", float64(*ops), 0},
+			flagMin{"compute-us", *computeUS, 0},
+			flagMin{"write-size", float64(*writeSize), 0},
+			flagMin{"trace-cap", float64(*traceCap), 0},
+			flagMin{"preempt-us", *preemptUS, 0},
+			flagMin{"stall-horizon", *stallUS, 0},
+		)
+	}
+	if err != nil {
 		// Exit status 2, as the flag package uses for a malformed flag.
 		fmt.Fprintln(os.Stderr, "ulpsim:", err)
 		os.Exit(2)
@@ -98,7 +113,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var err error
 	if *traceFormat != "text" && *traceFormat != "chrome" {
 		err = fmt.Errorf("unknown trace format %q (want text or chrome)", *traceFormat)
 	} else if *chaosMode {
@@ -123,11 +137,30 @@ func main() {
 // valid for both: the explorer reads it as an unbounded dfs run budget
 // (one random walk) and as its minimum depth.
 func checkExploreBounds(runs, depth int) error {
-	if runs < 0 {
-		return fmt.Errorf("-explore-runs must be >= 0, got %d", runs)
-	}
-	if depth < 0 {
-		return fmt.Errorf("-explore-depth must be >= 0, got %d", depth)
+	return checkMins(
+		flagMin{"explore-runs", float64(runs), 0},
+		flagMin{"explore-depth", float64(depth), 0},
+	)
+}
+
+// flagMin is a numeric flag's value and the least value the simulator
+// can honour.
+type flagMin struct {
+	name     string
+	val, min float64
+}
+
+// checkMins rejects the first flag below its minimum, or not a finite
+// number, so a bad value is a usage error instead of a panic deep inside
+// a run or a silently accepted nonsense setting.
+func checkMins(fs ...flagMin) error {
+	for _, f := range fs {
+		if !(f.val >= f.min) { // also catches NaN
+			return fmt.Errorf("-%s must be >= %g, got %v", f.name, f.min, f.val)
+		}
+		if math.IsInf(f.val, 1) {
+			return fmt.Errorf("-%s must be finite, got %v", f.name, f.val)
+		}
 	}
 	return nil
 }

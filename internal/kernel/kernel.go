@@ -261,7 +261,7 @@ func (k *Kernel) noteStop(c *Core, t *Task) {
 	}
 	end := k.engine.Now()
 	if end > c.runStart {
-		k.timeline.RecordSpan(c.id, t.name, t.pid, c.runStart, end)
+		k.timeline.RecordSpan(c.id, t.name, int(t.pid), c.runStart, end)
 	}
 }
 

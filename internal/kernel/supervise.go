@@ -21,7 +21,7 @@ var (
 // WaitClass says what kind of sleep a blocked task is in. The
 // supervision plane uses it to build the wait-for graph: futex and join
 // waits carry an edge to a possible holder, the rest are leaves.
-type WaitClass int
+type WaitClass uint8
 
 // Wait classes.
 const (
@@ -112,7 +112,27 @@ func (k *Kernel) noteWait(t *Task, class WaitClass, addr uint64, target *Task) {
 	if k.super == nil {
 		return
 	}
-	t.waitClass, t.waitAddr, t.waitTarget = class, addr, target
+	t.waitClass = class
+	s := t.supAnn()
+	s.waitAddr, s.waitTarget = addr, target
+}
+
+// taskSup is a task's supervision annotations: the futex word or join
+// target that classifies its sleep (Task.waitClass says which kind) and
+// the plane's opaque per-task record. It lives outside Task because
+// only supervised runs use it.
+type taskSup struct {
+	waitAddr   uint64
+	waitTarget *Task
+	tag        any
+}
+
+// supAnn returns t's annotations, allocating them on first use.
+func (t *Task) supAnn() *taskSup {
+	if t.sup == nil {
+		t.sup = new(taskSup)
+	}
+	return t.sup
 }
 
 // WaitClass reports what kind of sleep the task is in (valid while
@@ -120,17 +140,37 @@ func (k *Kernel) noteWait(t *Task, class WaitClass, addr uint64, target *Task) {
 func (t *Task) WaitClass() WaitClass { return t.waitClass }
 
 // WaitAddr reports the futex word a WaitFutex sleep is on.
-func (t *Task) WaitAddr() uint64 { return t.waitAddr }
+func (t *Task) WaitAddr() uint64 {
+	if t.sup == nil {
+		return 0
+	}
+	return t.sup.waitAddr
+}
 
 // WaitTarget reports the task a WaitJoin sleep is joined on.
-func (t *Task) WaitTarget() *Task { return t.waitTarget }
+func (t *Task) WaitTarget() *Task {
+	if t.sup == nil {
+		return nil
+	}
+	return t.sup.waitTarget
+}
 
 // SetSupervisionTag attaches an opaque per-task record for the
 // supervision plane (its wait-graph node); the kernel never reads it.
-func (t *Task) SetSupervisionTag(v any) { t.supTag = v }
+func (t *Task) SetSupervisionTag(v any) {
+	if v == nil && t.sup == nil {
+		return
+	}
+	t.supAnn().tag = v
+}
 
 // SupervisionTag returns the record attached by SetSupervisionTag.
-func (t *Task) SupervisionTag() any { return t.supTag }
+func (t *Task) SupervisionTag() any {
+	if t.sup == nil {
+		return nil
+	}
+	return t.sup.tag
+}
 
 // TryClone is Clone with graceful resource-limit failure: when a
 // supervisor caps per-process threads, it returns ErrThreadLimit

@@ -70,7 +70,7 @@ func (e *Engine) popChoose() *event {
 	for _, ev := range cands {
 		c := Candidate{Seq: ev.seq}
 		if ev.proc != nil {
-			c.Proc = ev.proc.name
+			c.Proc = ev.proc.Name()
 		}
 		labels = append(labels, c)
 	}
