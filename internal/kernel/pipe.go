@@ -33,7 +33,7 @@ func (t *Task) NewPipe() (*PipeReader, *PipeWriter) {
 	fr := k.sysEnter(t, "pipe")
 	t.Charge(k.machine.Costs.SyscallEntry + k.machine.Costs.OpenCost/2)
 	p := &Pipe{kernel: k, cap: DefaultPipeCapacity, readers: 1, writers: 1}
-	k.sysExit(t, fr)
+	k.sysExit(t, &fr)
 	return &PipeReader{p: p}, &PipeWriter{p: p}
 }
 
@@ -64,7 +64,7 @@ func (w *PipeWriter) Write(t *Task, data []byte) (int, error) {
 	for written < len(data) {
 		fr := k.sysEnter(t, "write_pipe")
 		if p.readers == 0 {
-			k.sysExit(t, fr)
+			k.sysExit(t, &fr)
 			return written, ErrPipeClosed
 		}
 		space := p.cap - len(p.buf)
@@ -73,7 +73,7 @@ func (w *PipeWriter) Write(t *Task, data []byte) (int, error) {
 			t.Charge(k.machine.Costs.SyscallEntry)
 			k.noteWait(t, WaitPipeWrite, 0, nil)
 			k.block(t, &p.writeq)
-			k.sysExit(t, fr)
+			k.sysExit(t, &fr)
 			continue
 		}
 		n := len(data) - written
@@ -87,7 +87,7 @@ func (w *PipeWriter) Write(t *Task, data []byte) (int, error) {
 		written += n
 		p.bytesMoved += uint64(n)
 		k.WakeAll(&p.readq, k.machine.Costs.FutexWakeLatency)
-		k.sysExit(t, fr)
+		k.sysExit(t, &fr)
 	}
 	return written, nil
 }
@@ -110,18 +110,18 @@ func (r *PipeReader) Read(t *Task, buf []byte) (int, error) {
 			rest := copy(p.buf, p.buf[n:])
 			p.buf = p.buf[:rest]
 			k.WakeAll(&p.writeq, k.machine.Costs.FutexWakeLatency)
-			k.sysExit(t, fr)
+			k.sysExit(t, &fr)
 			return n, nil
 		}
 		if p.writers == 0 {
 			t.Charge(k.machine.Costs.SyscallEntry)
-			k.sysExit(t, fr)
+			k.sysExit(t, &fr)
 			return 0, nil // EOF
 		}
 		t.Charge(k.machine.Costs.SyscallEntry)
 		k.noteWait(t, WaitPipeRead, 0, nil)
 		k.block(t, &p.readq)
-		k.sysExit(t, fr)
+		k.sysExit(t, &fr)
 	}
 }
 

@@ -55,15 +55,17 @@ func indices(va uint64) [ptLevels]int {
 
 // Lookup returns the PTE mapping va's page, or nil.
 func (pt *PageTable) Lookup(va uint64) *PTE {
+	// The walk shifts each level's index out of va in place rather than
+	// through indices: Lookup is inlined into every translation, and
+	// the index array would widen each caller's frame.
 	n := pt.root
-	ix := indices(va)
-	for l := 0; l < ptLevels-1; l++ {
-		n = n.children[ix[l]]
+	for shift := uint(PageShift + ptBitsPer*(ptLevels-1)); shift > PageShift; shift -= ptBitsPer {
+		n = n.children[(va>>shift)&(ptEntriesPer-1)]
 		if n == nil {
 			return nil
 		}
 	}
-	return n.entries[ix[ptLevels-1]]
+	return n.entries[(va>>PageShift)&(ptEntriesPer-1)]
 }
 
 // Map installs a PTE for va's page, walking and creating interior nodes.

@@ -238,14 +238,14 @@ func (as *AddressSpace) populate(va uint64, v *VMA, c Charger) error {
 func (as *AddressSpace) Translate(va uint64, write bool, c Charger) (*PTE, error) {
 	v := as.vmas.find(va)
 	if v == nil {
-		return nil, fmt.Errorf("%w at %s", ErrSegfault, fmtAddr(va))
+		return nil, segfault(va)
 	}
 	need := ProtRead
 	if write {
 		need = ProtWrite
 	}
 	if v.Prot&need == 0 {
-		return nil, fmt.Errorf("%w: %s access to %s VMA at %s", ErrProtViolation, need, v.Prot, fmtAddr(va))
+		return nil, protViolation(need, v.Prot, va)
 	}
 	// One TLB entry covers the VMA's translation granule: huge-page
 	// areas need 512x fewer entries (and walks).
@@ -274,6 +274,17 @@ func (as *AddressSpace) Translate(va uint64, write bool, c Charger) (*PTE, error
 		pte.Dirty = true
 	}
 	return pte, nil
+}
+
+// segfault and protViolation build Translate's errors out of line, so
+// the hot translation keeps the small frame a task's stack can afford.
+//
+//go:noinline
+func segfault(va uint64) error { return fmt.Errorf("%w at %s", ErrSegfault, fmtAddr(va)) }
+
+//go:noinline
+func protViolation(need, have Prot, va uint64) error {
+	return fmt.Errorf("%w: %s access to %s VMA at %s", ErrProtViolation, need, have, fmtAddr(va))
 }
 
 // Write copies data into the space at va, faulting pages as needed and
